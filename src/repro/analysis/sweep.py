@@ -90,7 +90,7 @@ def _measured_fpr(identifier: LanguageIdentifier, sample_size: int, seed: int) -
         if non_members.size == 0:
             rates[language] = 0.0
             continue
-        counts = identifier.backend.match_counts(non_members)
+        counts = identifier.backend.match_counts_batch(non_members, [non_members.size])[0]
         rates[language] = float(counts[index]) / float(non_members.size)
     return rates
 

@@ -82,9 +82,6 @@ class BloomBackend(Backend):
         self.profiles = self.classifier.profiles
         self._stacked_bits = None
 
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        return self.classifier.match_counts(packed)
-
     def _stacked_bit_vectors(self) -> np.ndarray:
         """All languages' bit-vectors as one ``(k, languages, m_bits)`` matrix.
 
@@ -267,9 +264,6 @@ class ExactBackend(Backend):
         self.classifier.fit_profiles(profiles)
         self.profiles = self.classifier.profiles
 
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        return self.classifier.match_counts(packed)
-
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         self._check_trained()
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -322,12 +316,19 @@ class HardwareSimBackend(Backend):
         self.engine.load_profiles_fast(profiles)
         self.profiles = dict(profiles)
 
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
+    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Counts from the datapath model, one ``process_document`` run per document."""
         self._check_trained()
-        report = self.engine.process_document(np.asarray(packed, dtype=np.uint64))
-        return np.asarray(
-            [report.match_counts[language] for language in self.languages], dtype=np.int64
-        )
+        packed = np.asarray(packed, dtype=np.uint64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        languages = self.languages
+        out = np.zeros((lengths.size, len(languages)), dtype=np.int64)
+        start = 0
+        for row, length in enumerate(lengths.tolist()):
+            report = self.engine.process_document(packed[start : start + length])
+            out[row] = [report.match_counts[language] for language in languages]
+            start += length
+        return out
 
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """Functional per-n-gram membership from the RAM snapshots, one hash pass.
@@ -395,17 +396,6 @@ class MguesserBackend(Backend):
         member = sorted_ngrams[positions] == packed
         return np.where(member, weights[positions], 0.0)
 
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        self._check_trained()
-        packed = np.asarray(packed, dtype=np.uint64)
-        counts = np.zeros(len(self.languages), dtype=np.int64)
-        if packed.size == 0:
-            return counts
-        for index, language in enumerate(self.languages):
-            score = float(self._weights_of(language, packed).sum())
-            counts[index] = int(round(score * MGUESSER_SCORE_SCALE))
-        return counts
-
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         self._check_trained()
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -417,10 +407,8 @@ class MguesserBackend(Backend):
         starts = ends - lengths
         for column, language in enumerate(self.languages):
             weights = self._weights_of(language, packed)
-            # Sum each document's slice directly: summing the same float values
-            # in the same order as the single-document path keeps the
-            # fixed-point rounding bit-identical between batch and single
-            # (a whole-batch cumulative sum would not).
+            # Sum each document's slice on its own so its rounded score does
+            # not depend on which other documents share the batch.
             for row in range(lengths.size):
                 score = float(weights[starts[row] : ends[row]].sum())
                 out[row, column] = int(round(score * MGUESSER_SCORE_SCALE))
@@ -464,9 +452,6 @@ class HailBackend(Backend):
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
         self.classifier.fit_profiles(profiles)
         self.profiles = dict(profiles)
-
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        return self.classifier.match_counts(packed)
 
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         self._check_trained()

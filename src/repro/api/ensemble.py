@@ -375,13 +375,8 @@ class EnsembleBackend(Backend):
 
     # ------------------------------------------------------------ Backend contract
 
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        """Fixed-point vote scores for one document (no text gates, no priors)."""
-        self._check_trained()
-        packed = np.asarray(packed, dtype=np.uint64)
-        return self.match_counts_batch(packed, np.asarray([packed.size], dtype=np.int64))[0]
-
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Fixed-point vote scores per document (no text gates, no priors)."""
         self._check_trained()
         lengths = np.asarray(lengths, dtype=np.int64)
         scores, _ = self._vote_batch(packed, lengths, None)

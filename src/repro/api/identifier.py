@@ -23,7 +23,7 @@ from repro.api import backends as _backends  # noqa: F401 - registers the built-
 from repro.api import ensemble as _ensemble  # noqa: F401 - registers the ensemble backend
 from repro.api.config import DEFAULT_STREAM_BATCH_SIZE, ClassifierConfig
 from repro.api.registry import Backend, create_backend
-from repro.core.classifier import ClassificationResult, undetermined_result
+from repro.core.classifier import ClassificationResult
 from repro.core.ngram import NGramExtractor
 from repro.core.profile import LanguageProfile, build_profiles
 
@@ -109,37 +109,17 @@ class LanguageIdentifier:
     def match_counts(self, text: str | bytes) -> np.ndarray:
         """Per-language match counts for one document (aligned with :attr:`languages`)."""
         self._check_trained()
-        return self._backend.match_counts(self.extractor.extract(text))
-
-    def _result_from_counts(self, counts: np.ndarray, ngram_count: int) -> ClassificationResult:
-        languages = self.languages
-        if ngram_count == 0:
-            # no n-gram evidence at all (empty or shorter than n): the explicit
-            # zero-confidence "und" result, matching classify_packed
-            return undetermined_result(languages)
-        best = int(np.argmax(counts)) if counts.size else 0
-        return ClassificationResult(
-            language=languages[best],
-            match_counts={lang: int(c) for lang, c in zip(languages, counts)},
-            ngram_count=int(ngram_count),
-        )
+        packed = self.extractor.extract(text)
+        return self._backend.match_counts_batch(packed, np.asarray([packed.size]))[0]
 
     def classify(self, text: str | bytes, source: str | None = None) -> ClassificationResult:
-        """Classify one document.
+        """Classify one document: :meth:`classify_batch` over a batch of one.
 
         ``source`` tags the document with its origin; backends that weight
         votes with per-source priors (the ensemble) use it, every other
         backend ignores it.
         """
-        self._check_trained()
-        packed = self.extractor.extract(text)
-        lengths = np.asarray([packed.size], dtype=np.int64)
-        rich = self._backend.classify_batch_results(
-            packed, lengths, texts=[text], sources=[source]
-        )
-        if rich is not None:
-            return rich[0]
-        return self._result_from_counts(self._backend.match_counts(packed), packed.size)
+        return self.classify_batch([text], sources=[source])[0]
 
     #: alias so the facade satisfies the same duck type as the raw classifiers
     classify_text = classify
@@ -173,16 +153,9 @@ class LanguageIdentifier:
         concatenated = (
             np.concatenate(extracted) if lengths.sum() else np.empty(0, dtype=np.uint64)
         )
-        rich = self._backend.classify_batch_results(
+        return self._backend.classify_batch_results(
             concatenated, lengths, texts=texts, sources=sources
         )
-        if rich is not None:
-            return rich
-        counts = self._backend.match_counts_batch(concatenated, lengths)
-        return [
-            self._result_from_counts(counts[row], lengths[row])
-            for row in range(lengths.size)
-        ]
 
     def classify_stream(
         self,

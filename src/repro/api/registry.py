@@ -4,10 +4,11 @@ Every classifier flavour in the repository — the Parallel-Bloom-Filter design,
 the exact-lookup reference, the cycle-approximate hardware simulator, and the
 HAIL / Mguesser baselines — answers the same question: *given a stream of packed
 n-grams, how many of them does each language's profile claim?*  The
-:class:`Backend` base class pins that contract down (``fit_profiles`` /
-``match_counts`` / ``describe``), and the registry maps short names onto
-implementations so callers select an engine with a string instead of importing
-five different constructors.
+:class:`Backend` base class pins that contract down: a backend must implement
+``fit_profiles`` and ``match_counts_batch``; ``ngram_hits`` and
+``classify_batch_results`` are optional overrides.  The registry maps short
+names onto implementations so callers select an engine with a string instead
+of importing five different constructors.
 
 Registering a backend::
 
@@ -28,6 +29,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.api.config import ClassifierConfig
+from repro.core.classifier import ClassificationResult, result_from_counts
 from repro.core.profile import LanguageProfile
 
 __all__ = [
@@ -42,11 +44,13 @@ __all__ = [
 class Backend(abc.ABC):
     """A membership engine behind the :class:`~repro.api.identifier.LanguageIdentifier`.
 
-    Subclasses implement :meth:`fit_profiles` (program the engine from
-    per-language profiles) and :meth:`match_counts` (per-language counts for one
-    document's packed n-grams).  :meth:`match_counts_batch` has a generic
-    per-document fallback; vectorizable engines override it to hash a whole
-    batch once.
+    Subclasses must implement :meth:`fit_profiles` (program the engine from
+    per-language profiles) and :meth:`match_counts_batch` (per-language counts
+    for a concatenated batch of documents) — the one classify primitive;
+    classifying one document is a batch of one.  :meth:`ngram_hits` (per-n-gram
+    scores for segmentation) and :meth:`classify_batch_results` (full
+    per-document results) have generic defaults built on
+    :meth:`match_counts_batch` and are optional overrides.
     """
 
     #: registry name; filled in by :func:`register_backend`
@@ -74,15 +78,6 @@ class Backend(abc.ABC):
     # ------------------------------------------------------------ classification
 
     @abc.abstractmethod
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        """Per-language match counts for one document's packed n-grams.
-
-        Returns an integer array aligned with :attr:`languages`.  Backends whose
-        natural score is fractional (e.g. the mguesser frequency scorer) return
-        fixed-point integers so every backend shares the counter semantics of
-        the hardware.
-        """
-
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Per-language match counts for a concatenated batch of documents.
 
@@ -97,18 +92,11 @@ class Backend(abc.ABC):
         Returns
         -------
         numpy.ndarray
-            Shape ``(len(lengths), len(self.languages))`` of per-document,
-            per-language counts.  The fallback loops over documents; vectorized
-            backends override it.
+            Integer array of shape ``(len(lengths), len(self.languages))``.
+            Backends whose natural score is fractional (e.g. the mguesser
+            frequency scorer) return fixed-point integers so every backend
+            shares the counter semantics of the hardware.
         """
-        self._check_trained()
-        lengths = np.asarray(lengths, dtype=np.int64)
-        out = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
-        start = 0
-        for row, length in enumerate(lengths):
-            out[row] = self.match_counts(packed[start : start + length])
-            start += length
-        return out
 
     def classify_batch_results(
         self,
@@ -117,21 +105,23 @@ class Backend(abc.ABC):
         *,
         texts=None,
         sources=None,
-    ):
-        """Optional rich batch path: full per-document results, or ``None``.
+    ) -> list[ClassificationResult]:
+        """Full per-document results for a concatenated batch.
 
-        Backends whose output is more than an argmax over
-        :meth:`match_counts_batch` — the ensemble's calibrated votes, priors
-        and abstention — override this to build the
-        :class:`~repro.core.classifier.ClassificationResult` list themselves.
-        ``texts`` (the raw documents, for text-level quality gates) and
-        ``sources`` (one source tag per document, for per-source priors) ride
-        along when the caller has them; either may be ``None``.
-
-        Returning ``None`` (the default) tells the facade to take the ordinary
-        counts-argmax path.
+        The default applies :func:`~repro.core.classifier.result_from_counts`
+        to each row of :meth:`match_counts_batch`.  Backends whose output is
+        more than that rule — the ensemble's calibrated votes, priors and
+        abstention — override this.  ``texts`` (the raw documents, for
+        text-level quality gates) and ``sources`` (one source tag per document,
+        for per-source priors) ride along when the caller has them; either may
+        be ``None``.
         """
-        return None
+        counts = self.match_counts_batch(packed, lengths)
+        languages = self.languages
+        return [
+            result_from_counts(languages, counts[row], ngram_count)
+            for row, ngram_count in enumerate(np.asarray(lengths).tolist())
+        ]
 
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """Per-n-gram, per-language scores for one document's packed n-grams.
@@ -141,9 +131,10 @@ class Backend(abc.ABC):
         per (document, language), every n-gram keeps its own column of
         per-language scores, so sliding-window totals fall out of a cumulative
         sum.  For the membership backends the scores are 0/1 hits and summing
-        along the n-gram axis reproduces :meth:`match_counts` exactly; scoring
-        backends (``mguesser``) return per-n-gram fixed-point weights whose sum
-        may differ from :meth:`match_counts` by rounding.
+        along the n-gram axis reproduces the document's
+        :meth:`match_counts_batch` row exactly; scoring backends
+        (``mguesser``) return per-n-gram fixed-point weights whose sum may
+        differ from it by rounding.
 
         Returns
         -------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.classifier import ClassificationResult
+from repro.core.classifier import ClassificationResult, result_from_counts
 from repro.core.ngram import DEFAULT_N, NGramExtractor, segment_sums
 from repro.core.profile import DEFAULT_PROFILE_SIZE, LanguageProfile, build_profiles
 from repro.hashes.h3 import H3Hash
@@ -152,15 +152,9 @@ class HailClassifier:
         return counts
 
     def classify_text(self, text: str | bytes) -> ClassificationResult:
-        """Classify a raw document."""
+        """Classify a raw document (see :func:`~repro.core.classifier.result_from_counts`)."""
         packed = self.extractor.extract(text)
-        counts = self.match_counts(packed)
-        best = int(np.argmax(counts)) if counts.size else 0
-        return ClassificationResult(
-            language=self.languages[best],
-            match_counts={lang: int(c) for lang, c in zip(self.languages, counts)},
-            ngram_count=int(packed.size),
-        )
+        return result_from_counts(self.languages, self.match_counts(packed), packed.size)
 
     @property
     def table_fill_ratio(self) -> float:

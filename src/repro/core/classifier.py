@@ -22,7 +22,7 @@ Two classifiers are provided:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "BloomNGramClassifier",
     "ExactNGramClassifier",
     "normalized_separation",
+    "result_from_counts",
     "undetermined_result",
     "UNDETERMINED_LANGUAGE",
 ]
@@ -57,11 +58,10 @@ def undetermined_result(
 ) -> "ClassificationResult":
     """The canonical zero-evidence result: ``und`` label, all-zero counts.
 
-    Shared by every classification surface (raw classifiers, the
-    :class:`~repro.api.identifier.LanguageIdentifier` facade, the segmenter's
-    too-short path and the ensemble backend's abstention) so abstention logic
-    can rely on one representation of "this document carried no usable
-    evidence".  The ensemble passes ``ngram_count``/``abstain_reason`` to say
+    Shared by every classification surface (:func:`result_from_counts`, the
+    segmenter's too-short path and the ensemble backend's abstention) so
+    abstention logic can rely on one representation of "this document carried
+    no usable evidence".  The ensemble passes ``ngram_count``/``abstain_reason`` to say
     *why* it declined to label a document that did carry n-grams.
     """
     return ClassificationResult(
@@ -69,6 +69,27 @@ def undetermined_result(
         match_counts={language: 0 for language in languages},
         ngram_count=ngram_count,
         abstain_reason=abstain_reason,
+    )
+
+
+def result_from_counts(
+    languages: Sequence[str], counts: np.ndarray, ngram_count: int
+) -> "ClassificationResult":
+    """The one rule turning per-language counts into a :class:`ClassificationResult`.
+
+    ``counts`` is aligned with ``languages``.  A document that yielded zero
+    n-grams (empty, or shorter than ``n``) has no evidence to rank languages
+    with and comes back as the explicit :func:`undetermined_result`.  With at
+    least one n-gram the highest count wins; ties — all-zero match counts
+    included — go to the earliest language in ``languages``, the
+    priority-encoder rule the hardware uses.
+    """
+    if ngram_count == 0:
+        return undetermined_result(languages)
+    return ClassificationResult(
+        language=languages[int(np.argmax(counts))],
+        match_counts={lang: int(c) for lang, c in zip(languages, counts)},
+        ngram_count=int(ngram_count),
     )
 
 
@@ -230,27 +251,10 @@ class _ClassifierBase:
         raise NotImplementedError
 
     def classify_packed(self, packed: np.ndarray) -> ClassificationResult:
-        """Classify a document given its n-gram keys.
-
-        A document yielding zero n-grams (empty, or shorter than ``n``) has no
-        evidence to rank languages with and comes back as the explicit
-        :func:`undetermined_result` (``"und"``, zero confidence).  With at
-        least one n-gram the argmax rule applies; all-zero *match* counts are
-        a genuine n-way tie, resolved deterministically in favour of the first
-        trained language (the priority-encoder rule the hardware uses).
-        """
+        """Classify a document given its n-gram keys (see :func:`result_from_counts`)."""
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
-        languages = self.languages
-        if packed.size == 0:
-            return undetermined_result(languages)
-        counts = self.match_counts(packed)
-        best = int(np.argmax(counts))
-        return ClassificationResult(
-            language=languages[best],
-            match_counts={lang: int(c) for lang, c in zip(languages, counts)},
-            ngram_count=int(packed.size),
-        )
+        return result_from_counts(self.languages, self.match_counts(packed), packed.size)
 
     def classify_text(self, text: str | bytes) -> ClassificationResult:
         """Classify a raw document (string or ISO-8859-1 bytes)."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.alphabet import AlphabetConverter
-from repro.core.classifier import ClassificationResult
+from repro.core.classifier import ClassificationResult, result_from_counts
 from repro.core.ngram import DEFAULT_N, NGramExtractor
 from repro.core.profile import LanguageProfile
 from repro.hardware.bloom_engine import HardwareBloomFilter
@@ -297,22 +297,9 @@ class ParallelMultiLanguageClassifier:
         """End-to-end classification of a raw document through the hardware model."""
         packed = self.extractor.extract(text)
         report = self.process_document(packed)
-        languages = list(report.match_counts)
-        if languages:
-            best = max(languages, key=lambda lang: (report.match_counts[lang], ), default=languages[0])
-            # deterministic tie-break on language order
-            best_count = report.match_counts[best]
-            for lang in languages:
-                if report.match_counts[lang] == best_count:
-                    best = lang
-                    break
-        else:  # pragma: no cover - engines always have languages once programmed
-            best = ""
-        result = ClassificationResult(
-            language=best,
-            match_counts=dict(report.match_counts),
-            ngram_count=report.ngrams,
-        )
+        languages = self.languages
+        counts = [report.match_counts[language] for language in languages]
+        result = result_from_counts(languages, np.asarray(counts), report.ngrams)
         return result, report
 
     # ------------------------------------------------------------ introspection

@@ -302,19 +302,18 @@ async def _dispatch(service: ClassificationService, method, path, query, body) -
             raise _HttpError(405, f"use POST for {path}", headers={"Allow": "POST"})
         text, texts, source = _parse_document_body(body, path)
         to_json = result_to_json if path == "/classify" else segmentation_to_json
+        kind = path[1:]
+        if kind == "segment":
+            source = None  # segmentation is not attributed to traffic sources
         try:
             if texts is not None:
-                if path == "/classify":
-                    pairs = await service.classify_many_traced(texts, source)
-                else:
-                    pairs = await service.segment_many_traced(texts)
+                pairs = await asyncio.gather(
+                    *(service.submit(kind, item, source) for item in texts)
+                )
                 wire = {"results": [to_json(result) for result, _ctx in pairs]}
                 contexts = [ctx for _result, ctx in pairs]
             else:
-                if path == "/classify":
-                    result, ctx = await service.classify_traced(text, source)
-                else:
-                    result, ctx = await service.segment_traced(text)
+                result, ctx = await service.submit(kind, text, source)
                 wire = to_json(result)
                 contexts = [ctx]
         except RequestTooLargeError as exc:

@@ -31,6 +31,7 @@ from repro.analytics import AnalyticsConfig, AnalyticsHook
 from repro.api.identifier import LanguageIdentifier
 from repro.core.classifier import ClassificationResult
 from repro.obs import TraceConfig, TraceContext, Tracer
+from repro.segment.types import SegmentationResult
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import ResultCache, model_fingerprint, text_digest
 from repro.serve.errors import (
@@ -220,7 +221,7 @@ class ClassificationService:
             )
         else:
             self.analytics = None
-        # pre-bound record method (or None): _submit_traced calls this once
+        # pre-bound record method (or None): submit calls this once
         # per classification response, where a wrapper frame is measurable
         self._analytics_record = (
             self.analytics.record if self.analytics is not None else None
@@ -389,29 +390,12 @@ class ClassificationService:
         shared instant (the flush began for all of them at once), learns which
         replica and batch it landed in, then closes ``batch_assembly`` once the
         unpacking/bookkeeping is done — so the spans keep tiling the timeline.
-        Legacy ``(text, ctx)`` pairs and bare texts are still unpacked (their
-        source defaults to ``None``).
         """
         flushed_at = time.perf_counter()
-        texts: list = []
-        contexts: list = []
-        sources: list = []
-        for item in items:
-            if isinstance(item, tuple) and len(item) == 3:
-                text, ctx, source = item
-            elif isinstance(item, tuple) and len(item) == 2:
-                text, ctx = item
-                source = None
-            else:  # untraced caller submitting bare texts
-                text, ctx, source = item, None, None
-            texts.append(text)
-            contexts.append(ctx)
-            sources.append(source)
+        texts, contexts, sources = (list(column) for column in zip(*items))
         self.metrics.record_batch(len(texts))
         assembled_at = time.perf_counter()
         for ctx in contexts:
-            if ctx is None:
-                continue
             ctx.stage("queue_wait", now=flushed_at)
             ctx.note(replica=replica_index, batch_size=len(texts))
             ctx.stage("batch_assembly", now=assembled_at)
@@ -441,16 +425,6 @@ class ClassificationService:
             return batchers[self._pool.shard_for(digest)]
         return batchers[self._pool.next_round_robin()]
 
-    async def _submit(
-        self,
-        text: str | bytes,
-        batchers: list[MicroBatcher],
-        kind: str,
-        source: str | None = None,
-    ):
-        result, _ctx = await self._submit_traced(text, batchers, kind, source)
-        return result
-
     def _reject(self, ctx: TraceContext, kind: str, reason: str, **fields) -> None:
         self.metrics.record_rejection(reason)
         if self.logger is not None:
@@ -458,23 +432,41 @@ class ClassificationService:
                 "rejection", request_id=ctx.trace_id, kind=kind, reason=reason, **fields
             )
 
+    async def submit(
+        self, kind: str, text: str | bytes, source: str | None = None
+    ) -> tuple[ClassificationResult | SegmentationResult, TraceContext]:
+        """The admission pipeline: size check, cache, micro-batch, record.
 
-    async def _submit_traced(
-        self,
-        text: str | bytes,
-        batchers: list[MicroBatcher],
-        kind: str,
-        source: str | None = None,
-    ) -> tuple:
-        """The shared admission pipeline: size check, cache, micro-batch, record.
+        ``kind`` is ``"classify"`` or ``"segment"`` and selects the
+        per-replica queues the request joins.  Every request is minted a
+        :class:`~repro.obs.trace.TraceContext` whose spans tile its lifetime —
+        admission, cache_lookup, then (on a miss) queue_wait / batch_assembly /
+        ipc_roundtrip / kernel stamped by the flush path, and finally respond.
+        Returns ``(result, context)``; the context carries the request id (the
+        HTTP layer's ``X-Request-Id``) and the span waterfall.  ``source``
+        attributes a classify request to a traffic source in the analytics
+        plane (``GET /stats``) and on its trace.
 
-        Every request is minted a :class:`~repro.obs.trace.TraceContext` whose
-        spans tile its lifetime — admission, cache_lookup, then (on a miss)
-        queue_wait / batch_assembly / ipc_roundtrip / kernel stamped by the
-        flush path, and finally respond.  Returns ``(result, context)``; errors
-        carry the request id out via ``ServeError.request_id`` and close the
-        trace with an ``error:*`` status.
+        Raises
+        ------
+        ValueError
+            If ``kind`` is neither ``"classify"`` nor ``"segment"``.
+        ServiceClosedError
+            If the service is not running (not started, or shutting down).
+        RequestTooLargeError
+            If the document exceeds ``max_document_bytes``.
+        ServiceOverloadedError
+            If the target replica's queue is full (backpressure).
+
+        Service errors carry the request id out via ``ServeError.request_id``
+        and close the trace with an ``error:*`` status.
         """
+        if kind == "classify":
+            batchers = self._batchers
+        elif kind == "segment":
+            batchers = self._segment_batchers
+        else:
+            raise ValueError(f"unknown request kind {kind!r}; use 'classify' or 'segment'")
         if not self.is_running:
             raise ServiceClosedError("service is not running; use 'async with' or start()")
         ctx = self.tracer.begin(kind)
@@ -545,31 +537,11 @@ class ClassificationService:
     ) -> ClassificationResult:
         """Classify one document through the cache + micro-batch pipeline.
 
-        ``source`` attributes the document to a traffic source in the
-        analytics plane (``GET /stats``) and on its trace; unattributed
-        traffic lands under :data:`~repro.analytics.DEFAULT_SOURCE`.
-
-        Raises
-        ------
-        ServiceClosedError
-            If the service is not running (not started, or shutting down).
-        RequestTooLargeError
-            If the document exceeds ``max_document_bytes``.
-        ServiceOverloadedError
-            If the target replica's queue is full (backpressure).
+        ``source`` attributes the document to a traffic source; unattributed
+        traffic lands under :data:`~repro.analytics.DEFAULT_SOURCE`.  Same
+        exception contract as :meth:`submit`.
         """
-        return await self._submit(text, self._batchers, "classify", source)
-
-    async def classify_traced(
-        self, text: str | bytes, source: str | None = None
-    ) -> tuple[ClassificationResult, TraceContext]:
-        """:meth:`classify`, returning ``(result, trace_context)``.
-
-        The context carries the request id (the HTTP layer's ``X-Request-Id``)
-        and the per-stage span waterfall; same exception contract as
-        :meth:`classify`.
-        """
-        return await self._submit_traced(text, self._batchers, "classify", source)
+        return (await self.submit("classify", text, source))[0]
 
     async def classify_many(
         self, texts: Sequence[str | bytes], source: str | None = None
@@ -579,37 +551,18 @@ class ClassificationService:
             await asyncio.gather(*(self.classify(text, source) for text in texts))
         )
 
-    async def classify_many_traced(
-        self, texts: Sequence[str | bytes], source: str | None = None
-    ) -> list[tuple[ClassificationResult, TraceContext]]:
-        """:meth:`classify_many`, returning ``(result, trace_context)`` pairs."""
-        return list(
-            await asyncio.gather(*(self.classify_traced(text, source) for text in texts))
-        )
-
-    async def segment(self, text: str | bytes):
+    async def segment(self, text: str | bytes) -> SegmentationResult:
         """Segment one mixed-language document into single-language spans.
 
         Shares the classification pipeline end to end — cache (op-prefixed
         keys), micro-batching (a dedicated per-replica queue), replica pools
-        under both executors, and the same rejection contract
-        (:class:`ServiceClosedError` / :class:`RequestTooLargeError` /
-        :class:`ServiceOverloadedError`).  Returns a
-        :class:`~repro.segment.types.SegmentationResult`.
+        under both executors, and the :meth:`submit` rejection contract.
         """
-        return await self._submit(text, self._segment_batchers, "segment")
+        return (await self.submit("segment", text))[0]
 
-    async def segment_traced(self, text: str | bytes) -> tuple:
-        """:meth:`segment`, returning ``(result, trace_context)``."""
-        return await self._submit_traced(text, self._segment_batchers, "segment")
-
-    async def segment_many(self, texts: Sequence[str | bytes]) -> list:
+    async def segment_many(self, texts: Sequence[str | bytes]) -> list[SegmentationResult]:
         """Segment several documents concurrently (one result per input, in order)."""
         return list(await asyncio.gather(*(self.segment(text) for text in texts)))
-
-    async def segment_many_traced(self, texts: Sequence[str | bytes]) -> list[tuple]:
-        """:meth:`segment_many`, returning ``(result, trace_context)`` pairs."""
-        return list(await asyncio.gather(*(self.segment_traced(text) for text in texts)))
 
     # ------------------------------------------------------------ introspection
 

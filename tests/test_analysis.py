@@ -214,6 +214,19 @@ class TestSweeps:
         row = rows[0]
         assert row.measured_fp_per_thousand == pytest.approx(row.expected_fp_per_thousand, rel=0.5)
 
+    def test_hw_sim_fpr_fallback_matches_bloom_estimator(self, sweep_corpora):
+        # hw-sim has no classifier.measured_fpr, so the sweep probes its
+        # match_counts_batch with the same non-member n-grams; for one seed its
+        # bit-vectors equal bloom's, so both columns must agree exactly
+        train, test = sweep_corpora
+        grid = [(4, 2)]
+        (bloom,) = sweep_bloom_parameters(train, test, grid=grid, t=1000, fpr_sample_size=4000)
+        (hw_sim,) = sweep_bloom_parameters(
+            train, test, grid=grid, t=1000, fpr_sample_size=4000, backend="hw-sim"
+        )
+        assert bloom.measured_fp_per_thousand > 0
+        assert hw_sim.measured_fp_per_thousand == bloom.measured_fp_per_thousand
+
     def test_hash_family_sweep(self, sweep_corpora):
         train, test = sweep_corpora
         rows = sweep_hash_families(train, test, families=("h3", "tabulation"), m_kbits=8, k=4, t=1000)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.hail import HailClassifier
 from repro.core.classifier import (
     UNDETERMINED_LANGUAGE,
     BloomNGramClassifier,
@@ -11,6 +12,7 @@ from repro.core.classifier import (
     undetermined_result,
 )
 from repro.core.ngram import ngrams_from_text
+from repro.hardware.classifier_engine import ParallelMultiLanguageClassifier
 
 
 class TestClassificationResult:
@@ -183,3 +185,19 @@ class TestExactClassifier:
     def test_untrained_raises(self):
         with pytest.raises(RuntimeError):
             ExactNGramClassifier().classify_text("text")
+
+
+@pytest.mark.parametrize("text", ["", "ab"])
+@pytest.mark.parametrize("engine", ["hail", "hardware"])
+def test_zero_ngram_document_is_undetermined_on_every_engine(engine, text, profiles):
+    # "ab" is shorter than n=4: like the empty document it yields no n-grams,
+    # so no engine may hand the all-zero tie to the first trained language
+    if engine == "hail":
+        result = HailClassifier(table_bits=16).fit_profiles(profiles).classify_text(text)
+    else:
+        hardware = ParallelMultiLanguageClassifier()
+        hardware.load_profiles_fast(profiles)
+        result, _report = hardware.classify_document(text)
+    assert result.language == UNDETERMINED_LANGUAGE
+    assert result.ngram_count == 0
+    assert result.match_counts == {language: 0 for language in profiles}

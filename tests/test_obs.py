@@ -252,7 +252,7 @@ class TestServicePipelineTracing:
         async def scenario():
             config = _trace_everything(executor=executor)
             async with ClassificationService(identifier, config) as service:
-                result, ctx = await service.classify_traced("quel est ce document ?")
+                result, ctx = await service.submit("classify", "quel est ce document ?")
                 return result, ctx, service.tracer.export(), service.metrics.snapshot()
 
         result, ctx, exported, snapshot = asyncio.run(scenario())
@@ -280,7 +280,7 @@ class TestServicePipelineTracing:
     def test_segment_traces_flow_through_the_same_pipeline(self, identifier):
         async def scenario():
             async with ClassificationService(identifier, _trace_everything()) as service:
-                _result, ctx = await service.segment_traced("hello world bonjour")
+                _result, ctx = await service.submit("segment", "hello world bonjour")
                 return ctx
 
         ctx = asyncio.run(scenario())
@@ -290,8 +290,8 @@ class TestServicePipelineTracing:
     def test_cache_hit_trace_stops_at_the_cache(self, identifier):
         async def scenario():
             async with ClassificationService(identifier, _trace_everything()) as service:
-                _r, miss = await service.classify_traced("bonjour tout le monde")
-                _r, hit = await service.classify_traced("bonjour tout le monde")
+                _r, miss = await service.submit("classify", "bonjour tout le monde")
+                _r, hit = await service.submit("classify", "bonjour tout le monde")
                 return miss, hit
 
         miss, hit = asyncio.run(scenario())
@@ -350,14 +350,14 @@ class TestCrashRespawnTracePropagation:
                 identifier, config, logger=JsonLogger(stream, clock=lambda: 9.0)
             )
             async with service:
-                _r, before = await service.classify_traced("the document before the crash")
+                _r, before = await service.submit("classify", "the document before the crash")
                 # murder the only worker; the in-flight batch must fail loudly
                 service._pool._workers[0].process.kill()
                 with pytest.raises(WorkerCrashedError) as excinfo:
-                    await service.classify_traced("the document that dies")
+                    await service.submit("classify", "the document that dies")
                 # the pool healed itself: the next trace rides the respawned
                 # worker, still carrying (and echoing) its trace id
-                _r, after = await service.classify_traced("the document after the crash")
+                _r, after = await service.submit("classify", "the document after the crash")
                 return before, excinfo.value, after
 
         before, crash_error, after = asyncio.run(scenario())

@@ -51,6 +51,7 @@ def mixed_doc():
 class TestNgramHits:
     @pytest.mark.parametrize("backend", ["bloom", "exact", "hail"])
     def test_hits_sum_to_match_counts(self, identifier, backend):
+        # reference: the wrapped core classifier's per-document kernel
         clone = LanguageIdentifier(identifier.config, backend=backend).train_profiles(
             identifier.profiles
         )
@@ -58,7 +59,7 @@ class TestNgramHits:
         hits = clone.backend.ngram_hits(packed)
         assert hits.shape == (len(clone.languages), packed.size)
         np.testing.assert_array_equal(
-            hits.sum(axis=1, dtype=np.int64), clone.backend.match_counts(packed)
+            hits.sum(axis=1, dtype=np.int64), clone.backend.classifier.match_counts(packed)
         )
 
     def test_hw_sim_hits_bit_exact_with_bloom(self, identifier):
@@ -71,13 +72,15 @@ class TestNgramHits:
         packed = clone.extractor.extract("the quick brown fox jumps over the lazy dog")
         hits = clone.backend.ngram_hits(packed)
         np.testing.assert_array_equal(hits, identifier.backend.ngram_hits(packed))
+        report = clone.backend.engine.process_document(packed)
         np.testing.assert_array_equal(
-            hits.sum(axis=1, dtype=np.int64), clone.backend.match_counts(packed)
+            hits.sum(axis=1, dtype=np.int64),
+            [report.match_counts[language] for language in clone.languages],
         )
 
     def test_mguesser_hits_sum_within_rounding(self, identifier):
         # fixed-point scores round per n-gram here vs once per document in
-        # match_counts, so sums agree only to the accumulated rounding error
+        # match_counts_batch, so sums agree only to the accumulated rounding error
         clone = LanguageIdentifier(identifier.config, backend="mguesser").train_profiles(
             identifier.profiles
         )
@@ -86,7 +89,7 @@ class TestNgramHits:
         assert hits.shape == (len(clone.languages), packed.size)
         np.testing.assert_allclose(
             hits.sum(axis=1, dtype=np.int64),
-            clone.backend.match_counts(packed),
+            clone.backend.match_counts_batch(packed, [packed.size])[0],
             atol=packed.size,
         )
 
@@ -96,7 +99,7 @@ class TestNgramHits:
         for i in range(packed.size):
             np.testing.assert_array_equal(
                 hits[:, i].astype(np.int64),
-                identifier.backend.match_counts(packed[i : i + 1]),
+                identifier.backend.classifier.match_counts(packed[i : i + 1]),
             )
 
     def test_empty_document(self, identifier):
@@ -119,7 +122,7 @@ class TestWindowedScorer:
         scores = scorer.score(packed)
         for w in range(scores.n_windows):
             start, end = int(scores.starts[w]), int(scores.ends[w])
-            naive = identifier.backend.match_counts(packed[start:end])
+            naive = identifier.backend.classifier.match_counts(packed[start:end])
             np.testing.assert_array_equal(scores.counts[w], naive)
 
     def test_windows_cover_every_ngram(self, identifier, mixed_doc):
@@ -136,7 +139,7 @@ class TestWindowedScorer:
         assert scores.n_windows == 1
         assert scores.ends[0] == packed.size
         np.testing.assert_array_equal(
-            scores.counts[0], identifier.backend.match_counts(packed)
+            scores.counts[0], identifier.backend.classifier.match_counts(packed)
         )
 
     def test_empty_document_yields_no_windows(self, identifier):
@@ -147,7 +150,8 @@ class TestWindowedScorer:
         packed = identifier.extractor.extract(mixed_doc.text)
         scores = WindowedScorer(identifier.backend, 100).score(packed)
         np.testing.assert_array_equal(
-            scores.range_counts(10, 200), identifier.backend.match_counts(packed[10:200])
+            scores.range_counts(10, 200),
+            identifier.backend.classifier.match_counts(packed[10:200]),
         )
 
     @pytest.mark.parametrize(
