@@ -25,6 +25,12 @@ Five engines are registered:
 All adapters consume the same per-language :class:`~repro.core.profile.LanguageProfile`
 objects and hash / look up a whole batch at once in ``match_counts_batch``
 wherever the underlying structure allows it.
+
+``bloom`` and ``hw-sim`` share one probe: each n-gram is hashed once and each
+of its ``k`` addresses gathers one packed row of every language's bit at that
+address (:mod:`repro.core.bloom`); the ANDed rows are unpacked to the
+``(languages, n_ngrams)`` hit matrix that per-language segment sums reduce to
+per-document counts.  ``hail`` unpacks its SRAM bitmaps the same way.
 """
 
 from __future__ import annotations
@@ -36,7 +42,12 @@ import numpy as np
 from repro.api.config import ClassifierConfig
 from repro.api.registry import Backend, register_backend
 from repro.baselines.hail import HailClassifier
-from repro.core.bloom import ParallelBloomFilter
+from repro.core.bloom import (
+    ParallelBloomFilter,
+    pack_language_rows,
+    probe_language_rows,
+    unpack_language_rows,
+)
 from repro.core.classifier import BloomNGramClassifier, ExactNGramClassifier
 from repro.core.ngram import segment_sums
 from repro.core.profile import LanguageProfile
@@ -59,6 +70,23 @@ MGUESSER_SCORE_SCALE = 1_000_000
 BATCH_CHUNK_NGRAMS = 1 << 16
 
 
+def _language_hits(rows: np.ndarray, hashes, packed: np.ndarray, n_languages: int) -> np.ndarray:
+    """``(languages, n_ngrams)`` membership from address-major language rows.
+
+    Per chunk, every n-gram is hashed once, its ``k`` addresses each gather one
+    packed language row, and the ANDed rows are unpacked into the result.
+    """
+    hits = np.empty((n_languages, packed.size), dtype=bool)
+    for start in range(0, packed.size, BATCH_CHUNK_NGRAMS):
+        addresses = hashes.hash_all(packed[start : start + BATCH_CHUNK_NGRAMS])
+        unpack_language_rows(
+            probe_language_rows(rows, addresses),
+            n_languages,
+            out=hits[:, start : start + addresses.shape[1]],
+        )
+    return hits
+
+
 @register_backend("bloom")
 class BloomBackend(Backend):
     """The paper's Parallel-Bloom-Filter classifier."""
@@ -76,18 +104,18 @@ class BloomBackend(Backend):
             hash_mode=config.resolved_hash_mode,
         )
         self._stacked_bits: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
         self.classifier.fit_profiles(profiles)
         self.profiles = self.classifier.profiles
-        self._stacked_bits = None
+        self._stacked_bits = self._rows = None
 
     def _stacked_bit_vectors(self) -> np.ndarray:
         """All languages' bit-vectors as one ``(k, languages, m_bits)`` matrix.
 
-        Gathering from the stacked matrix tests one hash function against every
-        language in a single fancy-index, instead of one gather per (language,
-        hash) pair.
+        The flat/shared-memory artifact layout, and the source the probe's
+        language rows are packed from.
         """
         if getattr(self, "_stacked_bits", None) is None:
             self._stacked_bits = np.stack(
@@ -95,31 +123,31 @@ class BloomBackend(Backend):
             )
         return self._stacked_bits
 
+    def _language_rows(self) -> np.ndarray:
+        """The probe's gather target (:func:`~repro.core.bloom.pack_language_rows`).
+
+        Built on first use and dropped whenever the filters are replaced.
+        """
+        if self._rows is None:
+            self._rows = pack_language_rows(self._stacked_bit_vectors())
+        return self._rows
+
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """Boolean ``(languages, n_ngrams)`` membership matrix, one hash pass.
 
-        Each n-gram is hashed exactly once and the addresses are reused across
-        every language's bit-vectors (the same sharing
-        :meth:`~repro.core.bloom.ParallelBloomFilter.test_addresses` gives the
-        per-document path); chunking keeps the hash temporaries cache-resident.
-        This matrix is both the batch path's intermediate and the windowed
-        segmentation scorer's input.
+        Each n-gram is hashed exactly once and each of its ``k`` addresses
+        gathers one packed language row (``ceil(languages / 8)`` bytes) — the
+        same address broadcast :meth:`~repro.core.bloom.ParallelBloomFilter.test_addresses`
+        gives the per-document path, read address-major.  Chunking keeps the
+        hash temporaries cache-resident.  This matrix is both the batch path's
+        intermediate and the windowed segmentation scorer's input.
         """
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
         n_languages = len(self.classifier.filters)
         if packed.size == 0:
             return np.zeros((n_languages, 0), dtype=bool)
-        stacked = self._stacked_bit_vectors()
-        hits = np.empty((n_languages, packed.size), dtype=bool)
-        for start in range(0, packed.size, BATCH_CHUNK_NGRAMS):
-            segment = packed[start : start + BATCH_CHUNK_NGRAMS]
-            addresses = self.classifier.hashes.hash_all(segment)
-            chunk_hits = stacked[0][:, addresses[0]]
-            for i in range(1, self.config.k):
-                chunk_hits &= stacked[i][:, addresses[i]]
-            hits[:, start : start + segment.size] = chunk_hits
-        return hits
+        return _language_hits(self._language_rows(), self.classifier.hashes, packed, n_languages)
 
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         self._check_trained()
@@ -158,7 +186,7 @@ class BloomBackend(Backend):
             self.fit_profiles(profiles)
             return
         self.profiles = self.classifier.profiles = dict(profiles)
-        self._stacked_bits = None
+        self._stacked_bits = self._rows = None
         self.classifier.filters = {}
         for language in profiles:
             payload = {
@@ -178,8 +206,8 @@ class BloomBackend(Backend):
     def export_shared_state(self) -> dict[str, np.ndarray]:
         """The flat/shared-memory layout: unpacked stacked bit-vectors.
 
-        ``stacked_bits`` is the hot-path ``(k, languages, m_bits)`` matrix
-        (one byte per bit) that :meth:`match_counts_batch` gathers from, in
+        ``stacked_bits`` is the ``(k, languages, m_bits)`` matrix (one byte
+        per bit) the probe's language rows are packed from, in
         training-language order; ``n_items`` carries each language's
         programmed-key count.  Stored unpacked (8x the packed ``.npz`` size)
         precisely so a read-only mmap/shared-memory buffer can back the live
@@ -199,10 +227,11 @@ class BloomBackend(Backend):
     ) -> None:
         """Adopt :meth:`export_shared_state` arrays as live filter state, zero-copy.
 
-        The stacked matrix becomes *the* batch-path gather target and each
-        language's filter a ``(k, m_bits)`` view into it, so when the arrays
-        are buffer-backed (mmap / shared memory) this backend owns no bit
-        storage of its own — every replica process reads one physical copy.
+        Each language's filter becomes a ``(k, m_bits)`` view into the stacked
+        matrix, so when the arrays are buffer-backed (mmap / shared memory) the
+        filters own no bit storage of their own — every replica process reads
+        one physical copy.  Only the probe's packed language rows (about 1/8
+        of the matrix's size) are built per process.
         Incomplete or mismatched state falls back to a deterministic rebuild
         from the profiles, exactly like :meth:`import_state`.
         """
@@ -223,6 +252,7 @@ class BloomBackend(Backend):
         n_items = np.asarray(n_items, dtype=np.int64)
         self.profiles = self.classifier.profiles = dict(profiles)
         self._stacked_bits = bits
+        self._rows = None
         self.classifier.filters = {}
         for index, language in enumerate(profiles):
             payload = {
@@ -333,8 +363,9 @@ class HardwareSimBackend(Backend):
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """Functional per-n-gram membership from the RAM snapshots, one hash pass.
 
-        Reads the first engine copy's bit-vector snapshots directly (every copy
-        is programmed identically), so the result is bit-exact with the
+        Packs the first engine copy's bit-vector snapshots (every copy is
+        programmed identically) into language rows and runs the bloom
+        backend's probe on them, so the result is bit-exact with the
         cycle-accurate datapath but skips the per-cycle simulation — without
         this override the generic fallback would run one full
         ``process_document`` simulation per n-gram.  No cycles are accounted.
@@ -343,15 +374,14 @@ class HardwareSimBackend(Backend):
         packed = np.asarray(packed, dtype=np.uint64)
         if packed.size == 0:
             return np.zeros((len(self.languages), 0), dtype=bool)
-        unit = self.engine.units[0]
-        addresses = self.engine.hashes.hash_all(packed)
-        out = np.empty((len(unit.engines), packed.size), dtype=bool)
-        for row, engine in enumerate(unit.engines.values()):
-            hits = np.ones(packed.size, dtype=bool)
-            for i, vector in enumerate(engine.vectors):
-                hits &= vector.snapshot()[addresses[i]]
-            out[row] = hits
-        return out
+        engines = self.engine.units[0].engines.values()
+        stacked = np.stack(
+            [np.stack([vector.snapshot() for vector in engine.vectors]) for engine in engines],
+            axis=1,
+        )
+        return _language_hits(
+            pack_language_rows(stacked), self.engine.hashes, packed, len(self.languages)
+        )
 
     def describe(self) -> dict:
         info = super().describe()
@@ -456,6 +486,10 @@ class HailBackend(Backend):
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         self._check_trained()
         return self.classifier.match_counts_batch(packed, lengths)
+
+    def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
+        self._check_trained()
+        return self.classifier.ngram_hits(packed)
 
     def describe(self) -> dict:
         info = super().describe()

@@ -23,7 +23,7 @@ arrays + backend state):
     :data:`FLAT_ALIGN` boundary.  Array offsets are relative to the payload
     start, so the header can be generated before the payload is laid out.  The
     ``bloom`` backend stores its bit-vectors *unpacked* (one byte per bit, the
-    ``(k, languages, m_bits)`` stacked hot-path layout), so a read-only
+    ``(k, languages, m_bits)`` stacked layout), so a read-only
     ``np.memmap`` — or a ``multiprocessing.shared_memory`` segment holding the
     same bytes — can back the live filters directly: N worker processes share
     one physical copy of the model (see :class:`repro.serve.shared_model.SharedModel`).

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.bloom import unpack_language_rows
 from repro.core.classifier import ClassificationResult, result_from_counts
 from repro.core.ngram import DEFAULT_N, NGramExtractor, segment_sums
 from repro.core.profile import DEFAULT_PROFILE_SIZE, LanguageProfile, build_profiles
@@ -129,14 +130,28 @@ class HailClassifier:
             counts[index] = int(((bitmaps >> np.uint64(index)) & np.uint64(1)).sum())
         return counts
 
+    def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
+        """Boolean ``(languages, n_ngrams)`` membership: one SRAM read per n-gram.
+
+        Each bucket's ``uint64`` bitmap is read as eight little-endian bytes
+        (language ``l`` in bit ``l % 8`` of byte ``l // 8``) and expanded by the
+        Bloom probe's :func:`~repro.core.bloom.unpack_language_rows`.
+        """
+        if self._table is None:
+            raise RuntimeError("classifier has not been trained; call fit() first")
+        packed = np.asarray(packed, dtype=np.uint64)
+        bitmaps = self._table[self._index_hash.hash_array(packed)]
+        rows = bitmaps.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        return unpack_language_rows(rows, len(self.languages))
+
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Per-document, per-language match counts for a concatenated batch.
 
         ``packed`` is every document's n-grams concatenated; ``lengths`` gives
         the per-document n-gram counts (zero-length documents are allowed).
-        One SRAM read per n-gram serves the whole batch, then each language's
-        bitmap bit is tested and summed per document.  Returns an array of
-        shape ``(len(lengths), len(self.languages))``.
+        One SRAM read per n-gram serves the whole batch (:meth:`ngram_hits`),
+        then each language's hits are summed per document.  Returns an array
+        of shape ``(len(lengths), len(self.languages))``.
         """
         if self._table is None:
             raise RuntimeError("classifier has not been trained; call fit() first")
@@ -144,11 +159,9 @@ class HailClassifier:
         counts = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
         if packed.size == 0:
             return counts
-        packed = np.asarray(packed, dtype=np.uint64)
-        bitmaps = self._table[self._index_hash.hash_array(packed)]
+        hits = self.ngram_hits(packed)
         for index in range(len(self.languages)):
-            hits = ((bitmaps >> np.uint64(index)) & np.uint64(1)).astype(np.int64)
-            counts[:, index] = segment_sums(hits, lengths)
+            counts[:, index] = segment_sums(hits[index], lengths)
         return counts
 
     def classify_text(self, text: str | bytes) -> ClassificationResult:

@@ -14,6 +14,15 @@ Both filters share the same public interface:
 
 Keys are integers (packed n-grams); hashing is delegated to a
 :class:`repro.hashes.base.HashFamily`, H3 by default.
+
+The multi-language probe reads the filters *address-major*, as the hardware
+does when one hashed address is broadcast to every language's RAM in the same
+cycle: :func:`pack_language_rows` turns the ``(k, languages, m_bits)`` bit
+matrix into one packed language row per (bit-vector, address),
+:func:`probe_language_rows` ANDs the ``k`` rows a key selects, and
+:func:`unpack_language_rows` expands the result to a ``(languages, n_keys)``
+boolean matrix.  :meth:`ParallelBloomFilter.test_addresses` stays the
+per-language reference.
 """
 
 from __future__ import annotations
@@ -26,7 +35,13 @@ from repro.core import fpr as fpr_model
 from repro.hashes.base import HashFamily
 from repro.hashes.h3 import H3Family
 
-__all__ = ["BloomFilter", "ParallelBloomFilter"]
+__all__ = [
+    "BloomFilter",
+    "ParallelBloomFilter",
+    "pack_language_rows",
+    "probe_language_rows",
+    "unpack_language_rows",
+]
 
 
 def _check_power_of_two(m_bits: int) -> int:
@@ -385,3 +400,44 @@ class ParallelBloomFilter(_BloomBase):
             f"ParallelBloomFilter(m_bits={self.m_bits}, k={self.k}, "
             f"key_bits={self.key_bits}, n_items={self.n_items})"
         )
+
+
+def pack_language_rows(stacked_bits: np.ndarray) -> np.ndarray:
+    """Address-major language rows of a ``(k, languages, m_bits)`` bit matrix.
+
+    Returns a ``(k, m_bits, ceil(languages / 8))`` uint8 array: ``rows[i, a]``
+    holds every language's bit at address ``a`` of bit-vector ``i``, language
+    ``l`` in bit ``l % 8`` (little-endian bit order) of byte ``l // 8``.
+    """
+    packed = np.packbits(stacked_bits, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.transpose(0, 2, 1))
+
+
+def probe_language_rows(rows: np.ndarray, addresses: np.ndarray) -> np.ndarray:
+    """AND of the ``k`` language rows each key's addresses select.
+
+    ``rows`` comes from :func:`pack_language_rows` and ``addresses`` is the
+    ``(k, n_keys)`` output of :meth:`~repro.hashes.base.HashFamily.hash_all`;
+    the result is an ``(n_keys, ceil(languages / 8))`` uint8 array of packed
+    per-key language hits.
+    """
+    hit_rows = np.take(rows[0], addresses[0], axis=0)
+    for i in range(1, rows.shape[0]):
+        hit_rows &= np.take(rows[i], addresses[i], axis=0)
+    return hit_rows
+
+
+def unpack_language_rows(
+    hit_rows: np.ndarray, n_languages: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Expand ``(n_keys, bytes)`` little-endian language rows to ``(languages, n_keys)`` bools.
+
+    The result is C-ordered, one contiguous row per language, as the
+    per-language reductions read it; pass ``out`` to write it into a slice of
+    a larger matrix.
+    """
+    bits = np.unpackbits(hit_rows, axis=1, count=n_languages, bitorder="little")
+    if out is None:
+        out = np.empty((n_languages, hit_rows.shape[0]), dtype=bool)
+    out[...] = bits.view(bool).T
+    return out

@@ -6,11 +6,11 @@ way — one ``classify`` call per window — re-hashes every n-gram once per
 window it appears in (``window / stride`` times).  The scorer here is O(doc)
 regardless of window count:
 
-1. every n-gram is hashed once and tested against every language's stacked
+1. every n-gram is hashed once and tested against every language's
    bit-vectors (:meth:`repro.api.registry.Backend.ngram_hits`, which the
-   ``bloom`` backend implements with the shared-address
-   :meth:`~repro.core.bloom.ParallelBloomFilter.test_addresses` gather of the
-   batch path);
+   ``bloom`` backend implements with the batch path's probe: one packed
+   language row gathered per hash address, see
+   :func:`~repro.core.bloom.probe_language_rows`);
 2. a per-language cumulative sum over the n-gram axis turns any window's hit
    count into two lookups: ``cum[end] - cum[start]``.
 
