@@ -79,11 +79,7 @@ from repro.api.registry import (
 )
 from repro.core.alphabet import AlphabetConverter, encode_text
 from repro.core.bloom import BloomFilter, ParallelBloomFilter
-from repro.core.classifier import (
-    BloomNGramClassifier,
-    ClassificationResult,
-    ExactNGramClassifier,
-)
+from repro.core.classifier import BloomNGramClassifier, ClassificationResult
 from repro.core.fpr import false_positive_rate, false_positives_per_thousand
 from repro.core.ngram import NGramExtractor, ngrams_from_text, pack_ngrams
 from repro.core.profile import LanguageProfile, build_profiles
@@ -114,7 +110,6 @@ __all__ = [
     "BloomFilter",
     "ParallelBloomFilter",
     "BloomNGramClassifier",
-    "ExactNGramClassifier",
     "ClassificationResult",
     "false_positive_rate",
     "false_positives_per_thousand",

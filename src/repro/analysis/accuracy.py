@@ -119,7 +119,8 @@ def evaluate_classifier(classifier, corpus: Corpus, record_misclassified: bool =
 
     ``classifier`` needs a ``classify_text`` method returning either a
     :class:`~repro.core.classifier.ClassificationResult` or a plain language string
-    (both the paper's classifier and the baselines satisfy this).  Assumes each
+    (the :class:`~repro.api.identifier.LanguageIdentifier` facade and the
+    raw-text Mguesser / Cavnar–Trenkle baselines satisfy this).  Assumes each
     document has exactly one language; for code-switched documents evaluate
     span labels from :meth:`repro.api.identifier.LanguageIdentifier.segment`
     instead.

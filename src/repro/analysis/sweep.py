@@ -11,7 +11,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.analysis.accuracy import AccuracyReport, evaluate_classifier
+from repro.analysis.accuracy import AccuracyReport, evaluate_classifier_batch
 from repro.api.config import ClassifierConfig
 from repro.api.identifier import LanguageIdentifier
 from repro.core.fpr import false_positives_per_thousand
@@ -64,9 +64,37 @@ class BloomSweepRow:
         )
 
 
+@dataclass(frozen=True)
+class AblationRow:
+    """One row of an ablation sweep."""
+
+    label: str
+    average_accuracy: float
+    overall_accuracy: float
+    detail: dict
+
+
 def _fit_and_evaluate(identifier: LanguageIdentifier, train: Corpus, test: Corpus) -> AccuracyReport:
     identifier.train(train)
-    return evaluate_classifier(identifier, test)
+    return evaluate_classifier_batch(identifier, test)
+
+
+def _ablation_rows(
+    train: Corpus, test: Corpus, cases: Sequence[tuple[str, dict, ClassifierConfig]]
+) -> list[AblationRow]:
+    """Train and evaluate one identifier per ``(label, detail, config)`` case."""
+    rows = []
+    for label, detail, config in cases:
+        report = _fit_and_evaluate(LanguageIdentifier(config), train, test)
+        rows.append(
+            AblationRow(
+                label=label,
+                average_accuracy=report.average_accuracy,
+                overall_accuracy=report.overall_accuracy,
+                detail=detail,
+            )
+        )
+    return rows
 
 
 def _measured_fpr(identifier: LanguageIdentifier, sample_size: int, seed: int) -> dict[str, float]:
@@ -135,16 +163,6 @@ def sweep_bloom_parameters(
     return rows
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    """One row of an ablation sweep."""
-
-    label: str
-    average_accuracy: float
-    overall_accuracy: float
-    detail: dict
-
-
 def sweep_hash_families(
     train: Corpus,
     test: Corpus,
@@ -155,21 +173,15 @@ def sweep_hash_families(
     seed: int = 0,
 ) -> list[AblationRow]:
     """Ablation: does the hash family matter at fixed (m, k)?  (It should not.)"""
-    rows = []
-    for family in families:
-        identifier = LanguageIdentifier(
-            m_bits=m_kbits * 1024, k=k, t=t, seed=seed, hash_family=family
+    cases = [
+        (
+            family,
+            {"m_kbits": m_kbits, "k": k},
+            ClassifierConfig(m_bits=m_kbits * 1024, k=k, t=t, seed=seed, hash_family=family),
         )
-        report = _fit_and_evaluate(identifier, train, test)
-        rows.append(
-            AblationRow(
-                label=family,
-                average_accuracy=report.average_accuracy,
-                overall_accuracy=report.overall_accuracy,
-                detail={"m_kbits": m_kbits, "k": k},
-            )
-        )
-    return rows
+        for family in families
+    ]
+    return _ablation_rows(train, test, cases)
 
 
 def sweep_profile_size(
@@ -181,19 +193,18 @@ def sweep_profile_size(
     seed: int = 0,
 ) -> list[AblationRow]:
     """Ablation: profile size t (the paper fixes t = 5000, citing HAIL's >99 % accuracy)."""
-    rows = []
-    for size in sizes:
-        identifier = LanguageIdentifier(m_bits=m_kbits * 1024, k=k, t=size, seed=seed)
-        report = _fit_and_evaluate(identifier, train, test)
-        rows.append(
-            AblationRow(
-                label=f"t={size}",
-                average_accuracy=report.average_accuracy,
-                overall_accuracy=report.overall_accuracy,
-                detail={"t": size, "expected_fp_per_thousand": false_positives_per_thousand(size, m_kbits * 1024, k)},
-            )
+    cases = [
+        (
+            f"t={size}",
+            {
+                "t": size,
+                "expected_fp_per_thousand": false_positives_per_thousand(size, m_kbits * 1024, k),
+            },
+            ClassifierConfig(m_bits=m_kbits * 1024, k=k, t=size, seed=seed),
         )
-    return rows
+        for size in sizes
+    ]
+    return _ablation_rows(train, test, cases)
 
 
 def sweep_ngram_order(
@@ -206,19 +217,15 @@ def sweep_ngram_order(
     seed: int = 0,
 ) -> list[AblationRow]:
     """Ablation: n-gram order (the paper uses 4-grams)."""
-    rows = []
-    for order in orders:
-        identifier = LanguageIdentifier(m_bits=m_kbits * 1024, k=k, n=order, t=t, seed=seed)
-        report = _fit_and_evaluate(identifier, train, test)
-        rows.append(
-            AblationRow(
-                label=f"n={order}",
-                average_accuracy=report.average_accuracy,
-                overall_accuracy=report.overall_accuracy,
-                detail={"n": order},
-            )
+    cases = [
+        (
+            f"n={order}",
+            {"n": order},
+            ClassifierConfig(m_bits=m_kbits * 1024, k=k, n=order, t=t, seed=seed),
         )
-    return rows
+        for order in orders
+    ]
+    return _ablation_rows(train, test, cases)
 
 
 def sweep_subsampling(
@@ -232,30 +239,18 @@ def sweep_subsampling(
 ) -> list[AblationRow]:
     """Ablation: HAIL-style n-gram subsampling of the test stream (Section 5.2's
     "test only every other n-gram" option that doubles the supported languages)."""
-    rows = []
-    for stride in strides:
-        identifier = LanguageIdentifier(
-            m_bits=m_kbits * 1024, k=k, t=t, seed=seed, subsample_stride=stride
+    cases = [
+        (
+            f"stride={stride}",
+            {"stride": stride},
+            ClassifierConfig(m_bits=m_kbits * 1024, k=k, t=t, seed=seed, subsample_stride=stride),
         )
-        report = _fit_and_evaluate(identifier, train, test)
-        rows.append(
-            AblationRow(
-                label=f"stride={stride}",
-                average_accuracy=report.average_accuracy,
-                overall_accuracy=report.overall_accuracy,
-                detail={"stride": stride},
-            )
-        )
-    return rows
+        for stride in strides
+    ]
+    return _ablation_rows(train, test, cases)
 
 
 def sweep_exact_reference(train: Corpus, test: Corpus, t: int = 5000, n: int = 4) -> AblationRow:
     """Accuracy of the exact-membership (direct lookup) classifier — the no-false-positive bound."""
-    identifier = LanguageIdentifier(n=n, t=t, backend="exact")
-    report = _fit_and_evaluate(identifier, train, test)
-    return AblationRow(
-        label="exact-lookup",
-        average_accuracy=report.average_accuracy,
-        overall_accuracy=report.overall_accuracy,
-        detail={"t": t, "n": n},
-    )
+    case = ("exact-lookup", {"t": t, "n": n}, ClassifierConfig(n=n, t=t, backend="exact"))
+    return _ablation_rows(train, test, [case])[0]

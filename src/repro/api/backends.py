@@ -1,14 +1,21 @@
-"""Backend adapters: every classifier flavour behind the one :class:`Backend` contract.
+"""Backend adapters: every membership engine behind the one :class:`Backend` contract.
+
+A backend programs an engine from per-language profiles (``fit_profiles``)
+and counts: given a batch of packed n-grams it returns per-document,
+per-language counts (``match_counts_batch``).  It never sees text and never
+builds results — :class:`~repro.api.identifier.LanguageIdentifier` extracts
+the n-grams and :func:`~repro.core.classifier.result_from_counts` turns counts
+into a :class:`~repro.core.classifier.ClassificationResult`, for every engine.
 
 Five engines are registered:
 
 ``bloom``
-    The paper's design — per-language Parallel Bloom Filters
-    (:class:`repro.core.classifier.BloomNGramClassifier`).  Persists its
+    The paper's design — per-language Parallel Bloom Filters programmed by
+    :class:`repro.core.classifier.BloomNGramClassifier`.  Persists its
     bit-vectors so a loaded model answers without re-programming.
 ``exact``
-    The no-false-positive reference — exact profile membership
-    (:class:`repro.core.classifier.ExactNGramClassifier`).
+    The no-false-positive reference — exact profile membership by binary
+    search over each language's sorted profile.
 ``hw-sim``
     The cycle-approximate FPGA datapath
     (:class:`repro.hardware.classifier_engine.ParallelMultiLanguageClassifier`),
@@ -48,7 +55,7 @@ from repro.core.bloom import (
     probe_language_rows,
     unpack_language_rows,
 )
-from repro.core.classifier import BloomNGramClassifier, ExactNGramClassifier
+from repro.core.classifier import BloomNGramClassifier
 from repro.core.ngram import segment_sums
 from repro.core.profile import LanguageProfile
 from repro.hardware.classifier_engine import ParallelMultiLanguageClassifier
@@ -96,12 +103,9 @@ class BloomBackend(Backend):
         self.classifier = BloomNGramClassifier(
             m_bits=config.m_bits,
             k=config.k,
-            n=config.n,
-            t=config.t,
+            key_bits=config.key_bits,
             hash_family=config.hash_family,
             seed=config.seed,
-            subsample_stride=config.subsample_stride,
-            hash_mode=config.resolved_hash_mode,
         )
         self._stacked_bits: np.ndarray | None = None
         self._rows: np.ndarray | None = None
@@ -279,20 +283,43 @@ class BloomBackend(Backend):
 
 @register_backend("exact")
 class ExactBackend(Backend):
-    """Exact profile membership — the accuracy reference without false positives."""
+    """Exact profile membership — the accuracy reference without false positives.
+
+    Functionally what HAIL's direct-memory lookup computes with an unbounded
+    table; it separates "errors inherent to the n-gram method" from "errors
+    introduced by Bloom-filter false positives" in the Table 1 reproduction.
+    Counts equal :meth:`~repro.core.profile.LanguageProfile.contains_many`
+    summed per document.
+    """
 
     def __init__(self, config: ClassifierConfig):
         super().__init__(config)
-        self.classifier = ExactNGramClassifier(
-            n=config.n,
-            t=config.t,
-            subsample_stride=config.subsample_stride,
-            hash_mode=config.resolved_hash_mode,
-        )
+        self._sorted_profiles: dict[str, np.ndarray] = {}
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
-        self.classifier.fit_profiles(profiles)
-        self.profiles = self.classifier.profiles
+        if not profiles:
+            raise ValueError("at least one language profile is required")
+        self.profiles = dict(profiles)
+        self._sorted_profiles = {
+            language: np.sort(profile.ngrams) for language, profile in self.profiles.items()
+        }
+
+    def membership_hits(self, packed: np.ndarray):
+        """Yield ``(language, hits)`` membership masks for the packed n-grams.
+
+        The single lookup kernel behind :meth:`match_counts_batch` and
+        :meth:`ngram_hits`.  Languages come out in training order; ``hits`` is
+        a boolean array aligned with ``packed``.
+        """
+        self._check_trained()
+        packed = np.asarray(packed, dtype=np.uint64)
+        for language, sorted_ngrams in self._sorted_profiles.items():
+            if sorted_ngrams.size == 0:
+                yield language, np.zeros(packed.size, dtype=bool)
+                continue
+            positions = np.searchsorted(sorted_ngrams, packed)
+            positions = np.clip(positions, 0, sorted_ngrams.size - 1)
+            yield language, sorted_ngrams[positions] == packed
 
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         self._check_trained()
@@ -302,7 +329,7 @@ class ExactBackend(Backend):
             return out
         # One searchsorted over the whole batch per language; per-document
         # totals fall out of the shared segment reduction.
-        for column, (_language, hits) in enumerate(self.classifier.membership_hits(packed)):
+        for column, (_language, hits) in enumerate(self.membership_hits(packed)):
             out[:, column] = segment_sums(hits, lengths)
         return out
 
@@ -311,9 +338,7 @@ class ExactBackend(Backend):
         packed = np.asarray(packed, dtype=np.uint64)
         if packed.size == 0:
             return np.zeros((len(self.languages), 0), dtype=bool)
-        return np.stack(
-            [hits for _language, hits in self.classifier.membership_hits(packed)]
-        )
+        return np.stack([hits for _language, hits in self.membership_hits(packed)])
 
 
 @register_backend("hw-sim")
@@ -337,7 +362,6 @@ class HardwareSimBackend(Backend):
             k=config.k,
             key_bits=config.key_bits,
             seed=config.seed,
-            n=config.n,
         )
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
@@ -472,11 +496,7 @@ class HailBackend(Backend):
     def __init__(self, config: ClassifierConfig):
         super().__init__(config)
         self.classifier = HailClassifier(
-            table_bits=self.TABLE_BITS,
-            n=config.n,
-            t=config.t,
-            seed=config.seed,
-            hash_mode=config.resolved_hash_mode,
+            table_bits=self.TABLE_BITS, key_bits=config.key_bits, seed=config.seed
         )
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:

@@ -136,7 +136,9 @@ class ClassifierConfig:
         Seed for hash-function construction; identical seeds give bit-identical
         filters across processes, which is what makes saved models reproducible.
     subsample_stride:
-        HAIL-style n-gram subsampling applied at classification time (1 = off).
+        HAIL-style n-gram subsampling applied at classification time (1 = off):
+        only every ``subsample_stride``-th n-gram of a document is tested.
+        Training profiles are always built from the full n-gram stream.
     hash_mode:
         N-gram key generation mode.  ``"packed"`` concatenates the window's
         5-bit codes into one key (the paper's format, n capped at 12);

@@ -1,9 +1,12 @@
 """The :class:`LanguageIdentifier` facade — one surface over every backend.
 
-The facade owns the text → packed-n-gram extraction pipeline and delegates
-membership counting to a registered :class:`~repro.api.registry.Backend`, so
-training, single-document classification, vectorized batch classification,
-streaming, and model persistence look identical whichever engine runs under it::
+The facade is the one place text enters the classifier: it owns the text →
+packed-n-gram extraction, builds the training profiles, and delegates
+membership counting to a registered :class:`~repro.api.registry.Backend`, whose
+counts become results through the one
+:func:`~repro.core.classifier.result_from_counts` rule.  Training,
+single-document classification, vectorized batch classification, streaming,
+and model persistence look identical whichever engine runs under it::
 
     config = ClassifierConfig(m_bits=16 * 1024, k=4, backend="bloom")
     identifier = LanguageIdentifier(config).train(corpus)
@@ -90,8 +93,11 @@ class LanguageIdentifier:
             texts_by_language = corpus
         else:
             texts_by_language = corpus.texts_by_language()
+        # profiles see every training n-gram: subsample_stride thins only the
+        # classification stream
+        extractor = NGramExtractor(n=self.config.n, mode=self.config.resolved_hash_mode)
         profiles = build_profiles(
-            texts_by_language, n=self.config.n, t=self.config.t, extractor=self.extractor
+            texts_by_language, n=self.config.n, t=self.config.t, extractor=extractor
         )
         return self.train_profiles(profiles)
 
@@ -121,7 +127,8 @@ class LanguageIdentifier:
         """
         return self.classify_batch([text], sources=[source])[0]
 
-    #: alias so the facade satisfies the same duck type as the raw classifiers
+    #: alias so the facade satisfies the duck type of the raw-text baselines
+    #: (:func:`repro.analysis.accuracy.evaluate_classifier`)
     classify_text = classify
 
     def classify_batch(

@@ -23,15 +23,14 @@ Two models are provided:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.bloom import unpack_language_rows
-from repro.core.classifier import ClassificationResult, result_from_counts
-from repro.core.ngram import DEFAULT_N, NGramExtractor, segment_sums
-from repro.core.profile import DEFAULT_PROFILE_SIZE, LanguageProfile, build_profiles
+from repro.core.ngram import segment_sums
+from repro.core.profile import LanguageProfile
 from repro.hashes.h3 import H3Hash
 
 __all__ = [
@@ -50,53 +49,38 @@ HAIL_MAX_LANGUAGES = 255
 class HailClassifier:
     """Functional model of HAIL's off-chip-SRAM direct-lookup classifier.
 
+    The programming object behind the ``hail`` backend: :meth:`fit_profiles`
+    programs the SRAM table from language profiles, :meth:`match_counts` is
+    the per-document reference and :meth:`match_counts_batch` the batch
+    count; text extraction and result building live in
+    :class:`~repro.api.identifier.LanguageIdentifier`.
+
     Parameters
     ----------
     table_bits:
         log2 of the number of hash-table buckets held in SRAM.  The real design's
         SRAM (megabytes) gives it a generously sized table; smaller tables introduce
         collision-induced spurious matches, which the ablation benchmark explores.
-    n, t:
-        N-gram order and per-language profile size (as in the main design).
+    key_bits:
+        Width of the n-gram keys the table is indexed with (``n * 5`` for
+        packed keys, 64 for rolling fingerprints; see
+        :attr:`repro.api.config.ClassifierConfig.key_bits`), so large-n
+        rolling fingerprints index the same SRAM table model.
     seed:
         Seed of the table's index hash.
-    hash_mode:
-        N-gram key generation (``"packed"`` or ``"rolling"``); the index hash
-        adapts its key width, so large-n rolling fingerprints index the same
-        SRAM table model.
     """
 
-    def __init__(
-        self,
-        table_bits: int = 20,
-        n: int = DEFAULT_N,
-        t: int = DEFAULT_PROFILE_SIZE,
-        seed: int = 0,
-        hash_mode: str = "packed",
-    ):
+    def __init__(self, table_bits: int = 20, key_bits: int = 20, seed: int = 0):
         if table_bits <= 0 or table_bits > 30:
             raise ValueError("table_bits must be in [1, 30]")
         self.table_bits = int(table_bits)
-        self.n = int(n)
-        self.t = int(t)
+        self.key_bits = int(key_bits)
         self.seed = int(seed)
-        self.extractor = NGramExtractor(n=self.n, mode=hash_mode)
-        self._index_hash = H3Hash(
-            key_bits=self.extractor.key_bits, out_bits=self.table_bits, seed=seed
-        )
+        self._index_hash = H3Hash(key_bits=self.key_bits, out_bits=self.table_bits, seed=seed)
         self.languages: list[str] = []
         self._table: np.ndarray | None = None  # uint64 bitmap per bucket
 
-    # ------------------------------------------------------------ training
-
-    def fit(self, corpus) -> "HailClassifier":
-        """Train from a corpus (one profile per language, as the main design does)."""
-        texts = corpus.texts_by_language()
-        return self.fit_profiles(build_profiles(texts, n=self.n, t=self.t, extractor=self.extractor))
-
-    def fit_texts(self, training_texts: Mapping[str, Iterable[str]]) -> "HailClassifier":
-        profiles = build_profiles(training_texts, n=self.n, t=self.t, extractor=self.extractor)
-        return self.fit_profiles(profiles)
+    # ------------------------------------------------------------ programming
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> "HailClassifier":
         """Program the SRAM lookup table from prebuilt profiles."""
@@ -114,12 +98,15 @@ class HailClassifier:
         self._table = table
         return self
 
-    # ------------------------------------------------------------ classification
+    # ------------------------------------------------------------ counting
+
+    def _check_trained(self) -> None:
+        if self._table is None:
+            raise RuntimeError("classifier has not been trained; call fit_profiles() first")
 
     def match_counts(self, packed: np.ndarray) -> np.ndarray:
         """Per-language match counts for a packed n-gram stream (one SRAM read per n-gram)."""
-        if self._table is None:
-            raise RuntimeError("classifier has not been trained; call fit() first")
+        self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
         counts = np.zeros(len(self.languages), dtype=np.int64)
         if packed.size == 0:
@@ -137,8 +124,7 @@ class HailClassifier:
         (language ``l`` in bit ``l % 8`` of byte ``l // 8``) and expanded by the
         Bloom probe's :func:`~repro.core.bloom.unpack_language_rows`.
         """
-        if self._table is None:
-            raise RuntimeError("classifier has not been trained; call fit() first")
+        self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
         bitmaps = self._table[self._index_hash.hash_array(packed)]
         rows = bitmaps.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
@@ -153,8 +139,7 @@ class HailClassifier:
         then each language's hits are summed per document.  Returns an array
         of shape ``(len(lengths), len(self.languages))``.
         """
-        if self._table is None:
-            raise RuntimeError("classifier has not been trained; call fit() first")
+        self._check_trained()
         lengths = np.asarray(lengths, dtype=np.int64)
         counts = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
         if packed.size == 0:
@@ -163,11 +148,6 @@ class HailClassifier:
         for index in range(len(self.languages)):
             counts[:, index] = segment_sums(hits[index], lengths)
         return counts
-
-    def classify_text(self, text: str | bytes) -> ClassificationResult:
-        """Classify a raw document (see :func:`~repro.core.classifier.result_from_counts`)."""
-        packed = self.extractor.extract(text)
-        return result_from_counts(self.languages, self.match_counts(packed), packed.size)
 
     @property
     def table_fill_ratio(self) -> float:

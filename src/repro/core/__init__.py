@@ -15,8 +15,8 @@ of the paper:
 ``bloom``
     Classic and Parallel Bloom filters (Section 3.1).
 ``classifier``
-    The multi-language classifier built on parallel Bloom filters (Sections 3.2/3.3),
-    plus an exact-membership classifier used as the accuracy reference.
+    The counts-to-result rule and the per-language Parallel Bloom Filter
+    programming object with its per-document count reference (Sections 3.2/3.3).
 ``fpr``
     The analytical false-positive model ``f = (1 - e^{-N/m})^k`` and sizing helpers
     (Section 5.2).
@@ -35,7 +35,6 @@ from repro.core.bloom import BloomFilter, ParallelBloomFilter
 from repro.core.classifier import (
     BloomNGramClassifier,
     ClassificationResult,
-    ExactNGramClassifier,
     UNDETERMINED_LANGUAGE,
     undetermined_result,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "ParallelBloomFilter",
     "BloomNGramClassifier",
     "ClassificationResult",
-    "ExactNGramClassifier",
     "UNDETERMINED_LANGUAGE",
     "undetermined_result",
     "expected_matches",

@@ -9,10 +9,13 @@ Two levels of replication give the paper its throughput:
   stream, so **8** n-grams are tested per clock; an adder tree merges the per-copy
   match counters when the document ends (Section 3.3).
 
-The engines are functional (they produce real match counts and classifications,
-bit-exact with :class:`repro.core.classifier.BloomNGramClassifier` for the same
-seed) *and* they keep cycle counts so the timing model can turn a document stream
-into clock cycles.
+The engines are functional — they turn a document's packed n-grams into real
+per-language match counts, bit-exact with
+:meth:`repro.core.classifier.BloomNGramClassifier.match_counts` for the same seed —
+*and* they keep cycle counts so the timing model can turn a document stream into
+clock cycles.  Text extraction and result building live in
+:class:`~repro.api.identifier.LanguageIdentifier`, whose ``hw-sim`` backend runs
+this datapath.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.alphabet import AlphabetConverter
-from repro.core.classifier import ClassificationResult, result_from_counts
-from repro.core.ngram import DEFAULT_N, NGramExtractor
 from repro.core.profile import LanguageProfile
 from repro.hardware.bloom_engine import HardwareBloomFilter
 from repro.hardware.memory import RAMKind
@@ -204,14 +204,11 @@ class ParallelMultiLanguageClassifier:
         copies: int = 4,
         lanes_per_copy: int = 2,
         ram_kind: RAMKind = RAMKind.M4K,
-        n: int = DEFAULT_N,
     ):
         if copies <= 0:
             raise ValueError("copies must be positive")
         self.copies = int(copies)
         self.lanes_per_copy = int(lanes_per_copy)
-        self.n = int(n)
-        self.extractor = NGramExtractor(n=self.n, converter=AlphabetConverter())
         # One shared hash family: the hardware replicates the hash logic per copy but
         # programs identical functions so every copy implements the same filter.
         out_bits = int(math.log2(int(m_bits)))
@@ -259,7 +256,7 @@ class ParallelMultiLanguageClassifier:
         for unit in self.units:
             unit.load_profiles_fast(profiles)
 
-    # ------------------------------------------------------------ classification
+    # ------------------------------------------------------------ counting
 
     def process_document(self, packed: np.ndarray, cycle_accurate: bool = False) -> EngineReport:
         """Process one document's packed n-grams and return merged counters + cycles."""
@@ -292,15 +289,6 @@ class ParallelMultiLanguageClassifier:
             for language, count in report.match_counts.items():
                 merged[language] = merged.get(language, 0) + count
         return merged
-
-    def classify_document(self, text: str | bytes) -> tuple[ClassificationResult, EngineReport]:
-        """End-to-end classification of a raw document through the hardware model."""
-        packed = self.extractor.extract(text)
-        report = self.process_document(packed)
-        languages = self.languages
-        counts = [report.match_counts[language] for language in languages]
-        result = result_from_counts(languages, np.asarray(counts), report.ngrams)
-        return result, report
 
     # ------------------------------------------------------------ introspection
 

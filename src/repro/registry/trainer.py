@@ -177,11 +177,9 @@ class StreamingTrainer:
         self.config = config
         self.capacity = int(capacity)
         self.chunk_ngrams = int(chunk_ngrams)
-        self.extractor = NGramExtractor(
-            n=config.n,
-            subsample_stride=config.subsample_stride,
-            mode=config.resolved_hash_mode,
-        )
+        # profiles see every training n-gram: subsample_stride thins only the
+        # classification stream
+        self.extractor = NGramExtractor(n=config.n, mode=config.resolved_hash_mode)
         self._accumulators: dict[str, TopKAccumulator] = {}
         self._buffers: dict[str, list[np.ndarray]] = {}
         self._buffered: dict[str, int] = {}

@@ -13,7 +13,7 @@ from repro.analysis.sweep import (
     sweep_profile_size,
     sweep_subsampling,
 )
-from repro.core.classifier import BloomNGramClassifier
+from repro.api import LanguageIdentifier
 
 
 class _FixedClassifier:
@@ -28,8 +28,7 @@ class _FixedClassifier:
 
 class TestEvaluateClassifier:
     def test_perfect_classifier(self, profiles, test_corpus):
-        classifier = BloomNGramClassifier(m_bits=16 * 1024, k=4, seed=1)
-        classifier.fit_profiles(profiles)
+        classifier = LanguageIdentifier(m_bits=16 * 1024, k=4, seed=1).train_profiles(profiles)
         report = evaluate_classifier(classifier, test_corpus)
         assert report.average_accuracy > 0.95
         assert report.overall_accuracy > 0.95
@@ -54,14 +53,12 @@ class TestEvaluateClassifier:
         assert report.average_accuracy == 0.0
 
     def test_string_and_result_predictions_both_accepted(self, profiles, test_corpus):
-        classifier = BloomNGramClassifier(m_bits=8192, k=3, seed=1)
-        classifier.fit_profiles(profiles)
+        classifier = LanguageIdentifier(m_bits=8192, k=3, seed=1).train_profiles(profiles)
         report = evaluate_classifier(classifier, test_corpus)  # returns ClassificationResult
         assert report.overall_accuracy > 0.9
 
     def test_confusion_row_sums_match_document_counts(self, profiles, test_corpus):
-        classifier = BloomNGramClassifier(m_bits=16 * 1024, k=4, seed=1)
-        classifier.fit_profiles(profiles)
+        classifier = LanguageIdentifier(m_bits=16 * 1024, k=4, seed=1).train_profiles(profiles)
         report = evaluate_classifier(classifier, test_corpus)
         by_language = test_corpus.by_language()
         for i, language in enumerate(report.languages):

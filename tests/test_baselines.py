@@ -16,6 +16,8 @@ from repro.baselines.mguesser import (
     RankedProfile,
     character_ngrams,
 )
+from repro.core.classifier import result_from_counts
+from repro.core.ngram import ngrams_from_text
 
 
 class TestCharacterNgrams:
@@ -104,27 +106,31 @@ class TestMguesser:
 
 
 class TestHailFunctionalModel:
-    def test_classifies_correctly(self, train_corpus, test_corpus):
-        classifier = HailClassifier(table_bits=18, t=1500)
-        classifier.fit(train_corpus)
+    def test_classifies_correctly(self, profiles, test_corpus):
+        classifier = HailClassifier(table_bits=18).fit_profiles(profiles)
         sample = test_corpus.documents[:10]
-        correct = sum(classifier.classify_text(d.text).language == d.language for d in sample)
+        correct = 0
+        for document in sample:
+            packed = ngrams_from_text(document.text)
+            counts = classifier.match_counts(packed)
+            result = result_from_counts(classifier.languages, counts, packed.size)
+            correct += result.language == document.language
         assert correct >= 9
 
     def test_match_counts_upper_bound_true_membership(self, profiles, sample_document):
         # table collisions can only add spurious matches
-        classifier = HailClassifier(table_bits=14, t=1500)
+        classifier = HailClassifier(table_bits=14)
         classifier.fit_profiles(profiles)
-        packed = classifier.extractor.extract(sample_document.text)
+        packed = ngrams_from_text(sample_document.text)
         counts = classifier.match_counts(packed)
         for index, profile in enumerate(profiles.values()):
             true_matches = int(profile.contains_many(packed).sum())
             assert counts[index] >= true_matches
 
     def test_small_table_fills_up(self, profiles):
-        small = HailClassifier(table_bits=12, t=1500)
+        small = HailClassifier(table_bits=12)
         small.fit_profiles(profiles)
-        large = HailClassifier(table_bits=20, t=1500)
+        large = HailClassifier(table_bits=20)
         large.fit_profiles(profiles)
         assert small.table_fill_ratio > large.table_fill_ratio
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import LanguageIdentifier
 from repro.core.classifier import BloomNGramClassifier
 from repro.core.ngram import ngrams_from_text
 from repro.hardware.classifier_engine import (
@@ -86,20 +87,19 @@ class TestParallelMultiLanguageClassifier:
         engine.load_profiles_fast(small_profiles)
         software = BloomNGramClassifier(m_bits=8192, k=3, seed=seed, hash_family=engine.hashes)
         software.fit_profiles(small_profiles)
-        hardware_result, _report = engine.classify_document(sample_document.text)
-        software_result = software.classify_text(sample_document.text)
-        assert hardware_result.match_counts == software_result.match_counts
-        assert hardware_result.language == software_result.language
+        packed = ngrams_from_text(sample_document.text)
+        report = engine.process_document(packed)
+        hardware_counts = [report.match_counts[language] for language in software.languages]
+        assert hardware_counts == software.match_counts(packed).tolist()
 
     def test_classifies_correct_language(self, small_profiles, train_corpus, test_corpus):
-        engine = ParallelMultiLanguageClassifier(m_bits=16 * 1024, k=4, seed=1)
-        engine.load_profiles_fast(small_profiles)
+        # the hw-sim backend runs every document through process_document
+        identifier = LanguageIdentifier(backend="hw-sim", m_bits=16 * 1024, k=4, seed=1)
+        identifier.train_profiles(small_profiles)
         langs = set(small_profiles)
         docs = [d for d in test_corpus if d.language in langs][:6]
-        correct = 0
-        for doc in docs:
-            result, _ = engine.classify_document(doc.text)
-            correct += result.language == doc.language
+        results = identifier.classify_batch(doc.text for doc in docs)
+        correct = sum(result.language == doc.language for result, doc in zip(results, docs))
         assert correct >= len(docs) - 1
 
     def test_program_profiles_cycle_cost_scales_with_copies(self, small_profiles):

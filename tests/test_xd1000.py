@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import LanguageIdentifier
 from repro.system.throughput import ThroughputReport, mb_per_second
 from repro.system.xd1000 import XD1000System
 
@@ -33,6 +34,15 @@ class TestRuns:
     def test_run_requires_profiles(self):
         with pytest.raises(RuntimeError):
             XD1000System().classify_corpus(None)
+
+    def test_predictions_equal_same_config_identifier(self, system, profiles, test_corpus):
+        identifier = LanguageIdentifier(m_bits=16 * 1024, k=4, t=1500, seed=2)
+        expected = identifier.train_profiles(profiles).classify_batch(
+            document.text for document in test_corpus
+        )
+        report = system.classify_corpus(test_corpus, driver="asynchronous")
+        predicted = [outcome.predicted_language for outcome in report.outcomes]
+        assert predicted == [result.language for result in expected]
 
     def test_async_run(self, system, test_corpus):
         report = system.classify_corpus(test_corpus, driver="asynchronous")
